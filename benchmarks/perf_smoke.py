@@ -47,14 +47,16 @@ against the checked-in baselines in ``benchmarks/baselines.json``:
   disabled cost (a few hundred branch checks per run) is far below
   runner noise.
 
-* **dynamic gates** — a seeded 5%-churn batch sequence on a small sparse
+* **dynamic gate** — a seeded 5%-churn batch sequence on a small sparse
   graph runs through ``DeltaPlanMaintainer.refresh``: every version must
   be bit-identical to a from-scratch ``build_candidate_graph`` on the
-  same snapshot (correctness, aborts outright) and the delta path must
-  touch under 25% of the CSR3 rows per batch (the self-relative proxy
-  for "refresh is O(delta), not O(graph)" — wall-clock speedup is
-  measured on the weekly benchmark run instead, where the graph is big
-  enough for timing to be stable).
+  same snapshot (correctness, aborts outright).
+* **plan-build gate** — ``build_candidate_graph`` on pinned 16-vertex
+  wordnet and patents queries (the costliest strata of perfbench's
+  cold-plans workload): the plan's size must match the baseline exactly
+  and its best-of wall time must stay within ``--wall-tolerance`` ×
+  baseline.  Per-candidate Python filter loops were 15-25× slower than
+  the array passes, so they cannot creep back unnoticed.
 
 Refresh the baselines after an intentional change with::
 
@@ -82,7 +84,9 @@ from repro.dyn import DeltaPlanMaintainer, MutableGraph, UniformChurnStream
 from repro.dyn.delta import candidate_graphs_equal
 from repro.estimators.alley import AlleyEstimator
 from repro.estimators.wanderjoin import WanderJoinEstimator
+from repro.graph.datasets import load_dataset
 from repro.obs import NO_TRACE, FlightRecorder, TraceRecorder
+from repro.query.extract import extract_query
 from repro.utils.rng import derive_seed
 
 BASELINE_PATH = Path(__file__).resolve().parent / "baselines.json"
@@ -135,11 +139,17 @@ TRACE_GUARD_CALLS = 200_000
 #: whole story).
 FLIGHT_EVENT_CALLS = 20_000
 
-# Dynamic gate: 5%-churn batches on a small sparse scenario; the delta
-# refresh must stay bit-identical and touch under this row fraction.
+# Dynamic gate: 5%-churn batches on a small sparse scenario; every
+# refreshed plan must stay bit-identical to a from-scratch build.
 DYN_CHURN_RATE = 0.05
 DYN_N_BATCHES = 5
-DYN_MAX_TOUCHED_FRACTION = 0.25
+
+# Plan-build gate: pinned 16-vertex queries on the datasets whose plans
+# cost the most to build.
+PLAN_BUILD_DATASETS = ("wordnet", "patents")
+PLAN_BUILD_QUERY_TYPES = ("dense", "sparse")
+PLAN_BUILD_K = 16
+PLAN_BUILD_REPEATS = 5
 
 
 def _synthetic_delay() -> None:
@@ -562,11 +572,10 @@ def compare_tracing(cur: dict) -> list:
 
 
 def measure_dynamic() -> dict:
-    """Run 5%-churn batches through the delta refresh path.
+    """Run 5%-churn batches through the plan refresh path.
 
     Aborts outright if any version's refreshed candidate graph is not
-    bit-identical to a from-scratch build on the same snapshot — the delta
-    path is an optimisation, never an approximation.
+    bit-identical to a from-scratch build on the same snapshot.
     """
     base, query = build_scenario(n_vertices=1500, n_edges=1500)
     graph = MutableGraph(base)
@@ -575,7 +584,6 @@ def measure_dynamic() -> dict:
     stream = UniformChurnStream(
         half, half, rng=derive_seed(SEED, "perf-smoke-dyn")
     )
-    fractions = []
     refresh_ms = 0.0
     rebuild_ms = 0.0
     for _ in range(DYN_N_BATCHES):
@@ -586,7 +594,6 @@ def measure_dynamic() -> dict:
         stats = maintainer.refresh()
         _synthetic_delay()
         refresh_ms += stats.refresh_ms
-        fractions.append(stats.touched_fraction)
         if not candidate_graphs_equal(maintainer.cg, cg_full):
             raise SystemExit(
                 f"dynamic: refresh diverged from rebuild at version "
@@ -595,24 +602,62 @@ def measure_dynamic() -> dict:
     return {
         "churn_rate": DYN_CHURN_RATE,
         "n_batches": DYN_N_BATCHES,
-        "mean_touched_fraction": sum(fractions) / len(fractions),
-        "max_touched_fraction": max(fractions),
         "refresh_ms": refresh_ms,
         "rebuild_ms": rebuild_ms,
-        "speedup": rebuild_ms / refresh_ms if refresh_ms > 0 else float("inf"),
     }
 
 
-def compare_dynamic(cur: dict) -> list:
-    """Self-relative gate — no baseline entry needed."""
-    if cur["mean_touched_fraction"] >= DYN_MAX_TOUCHED_FRACTION:
-        return [
-            f"dynamic: refresh touched "
-            f"{cur['mean_touched_fraction']:.1%} of CSR3 rows per "
-            f"{cur['churn_rate']:.0%}-churn batch (gate: "
-            f"<{DYN_MAX_TOUCHED_FRACTION:.0%}) — no longer O(delta)"
-        ]
-    return []
+def measure_plan_build() -> dict:
+    """Best-of wall time of ``build_candidate_graph`` per pinned query,
+    with the plan's size as its deterministic fingerprint."""
+    entries = {}
+    for dataset in PLAN_BUILD_DATASETS:
+        graph = load_dataset(dataset)
+        for qtype in PLAN_BUILD_QUERY_TYPES:
+            query = extract_query(
+                graph,
+                PLAN_BUILD_K,
+                query_type=qtype,
+                rng=derive_seed(SEED, "plan-build", dataset, qtype),
+            )
+            best_wall = float("inf")
+            for _ in range(PLAN_BUILD_REPEATS):
+                start = time.perf_counter()
+                cg = build_candidate_graph(graph, query)
+                _synthetic_delay()
+                best_wall = min(best_wall, time.perf_counter() - start)
+            entries[f"{dataset}_q{PLAN_BUILD_K}_{qtype}"] = {
+                "global_candidates": sum(len(c) for c in cg.global_candidates),
+                "local_entries": cg.total_local_entries(),
+                "wall_ms": best_wall * 1000.0,
+            }
+    return entries
+
+
+def compare_plan_build(cur: dict, base: dict, wall_tolerance: float) -> list:
+    failures = []
+    if not base:
+        return ["plan_build: no baseline section (run --update-baselines)"]
+    for name, entry in cur.items():
+        ref = base.get(name)
+        if ref is None:
+            failures.append(
+                f"plan_build: {name} has no baseline entry "
+                "(run --update-baselines)"
+            )
+            continue
+        for key in ("global_candidates", "local_entries"):
+            if entry[key] != ref[key]:
+                failures.append(
+                    f"plan_build: {name} {key} {entry[key]} != baseline "
+                    f"{ref[key]} (deterministic — must match exactly)"
+                )
+        if entry["wall_ms"] > ref["wall_ms"] * wall_tolerance:
+            failures.append(
+                f"plan_build: {name} wall {entry['wall_ms']:.1f}ms exceeds "
+                f"{wall_tolerance:.1f}x baseline ({ref['wall_ms']:.1f}ms)"
+            )
+    return failures
 
 
 def compare(current: dict, baseline: dict, wall_tolerance: float,
@@ -770,10 +815,16 @@ def main(argv=None) -> int:
     dynamic = measure_dynamic()
     print(
         f"{'dynamic':<20} churn={dynamic['churn_rate']:.0%} "
-        f"rows_touched={dynamic['mean_touched_fraction']:.1%} "
-        f"(gate <{DYN_MAX_TOUCHED_FRACTION:.0%}) "
-        f"refresh_speedup={dynamic['speedup']:.2f}x bit-identical"
+        f"refresh={dynamic['refresh_ms']:.1f}ms "
+        f"rebuild={dynamic['rebuild_ms']:.1f}ms bit-identical"
     )
+    plan_build = measure_plan_build()
+    current["plan_build"] = plan_build
+    for name, entry in plan_build.items():
+        print(
+            f"{name:<20} wall={entry['wall_ms']:.1f}ms "
+            f"local_entries={entry['local_entries']}"
+        )
 
     if args.update_baselines:
         BASELINE_PATH.write_text(json.dumps(current, indent=2) + "\n")
@@ -795,7 +846,9 @@ def main(argv=None) -> int:
     )
     failures += compare_sharding(sharding, baseline.get("sharding", {}))
     failures += compare_tracing(tracing)
-    failures += compare_dynamic(dynamic)
+    failures += compare_plan_build(
+        plan_build, baseline.get("plan_build", {}), args.wall_tolerance
+    )
     if failures:
         print("\nPERF SMOKE FAILED:")
         for failure in failures:

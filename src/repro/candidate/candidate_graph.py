@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.candidate.filters import (
+    gather_neighbors,
     label_degree_filter,
     nlf_filter,
     refine_global_candidates,
@@ -280,6 +281,9 @@ def build_candidate_graph(
     Construction wall time is recorded in ``construction_ms`` (Table 3).
     ``use_degree=False`` (with the other filters off) yields the
     label-adjacency view used to model sampling directly on the data graph.
+    ``use_label=False`` keeps the global candidate sets label-filtered but
+    makes every local-candidate membership mask all-true, so local lists
+    are raw adjacency and estimators check labels on the fly.
     """
     start = time.perf_counter()
     # Even in direct-on-data-graph mode seeds come from a label index (any
@@ -317,34 +321,18 @@ def build_candidate_graph(
     length_chunks: List[np.ndarray] = []
     local_chunks: List[np.ndarray] = []
     for u in range(n_q):
+        source_cands = candidates[u]
+        # One flat gather of every source candidate's adjacency list, shared
+        # by all of u's out-edges; each edge filters it against its target
+        # membership mask and recovers per-candidate lengths by counting
+        # kept entries per owner.
+        nbrs, owner = gather_neighbors(graph, source_cands)
         for pos in range(int(q_offsets[u]), int(q_offsets[u + 1])):
-            u_prime = q_targets[pos]
-            source_cands = candidates[u]
             ecand_chunks.append(source_cands)
             ecand_offsets[pos + 1] = ecand_offsets[pos] + len(source_cands)
-            target_mask = membership[u_prime]
-            # One flat gather of every source candidate's adjacency list,
-            # filtered against the target membership mask; per-candidate
-            # lengths recovered by counting kept entries per owner.
-            starts = graph.offsets[source_cands]
-            counts = graph.offsets[source_cands + 1] - starts
-            total = int(counts.sum())
-            bases = np.zeros(len(counts), dtype=np.int64)
-            np.cumsum(counts[:-1], out=bases[1:])
-            flat_idx = (
-                np.repeat(starts, counts)
-                + np.arange(total, dtype=np.int64)
-                - np.repeat(bases, counts)
-            )
-            nbrs = graph.neighbors[flat_idx]
-            keep = target_mask[nbrs]
-            owner = np.repeat(
-                np.arange(len(counts), dtype=np.int64), counts
-            )
+            keep = membership[q_targets[pos]][nbrs]
             local_chunks.append(nbrs[keep].astype(np.int64))
-            length_chunks.append(
-                np.bincount(owner[keep], minlength=len(counts))
-            )
+            length_chunks.append(np.bincount(owner[keep], minlength=len(source_cands)))
 
     ecand_vertices = (
         np.concatenate(ecand_chunks) if ecand_chunks else np.zeros(0, dtype=np.int64)

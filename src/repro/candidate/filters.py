@@ -11,12 +11,19 @@ implement the standard filter stack used by CPU subgraph-matching systems
 
 All three are *sound*: they never remove a vertex that participates in an
 embedding, which the property tests assert.
+
+NLF and refinement run as array passes, GSI-style: one flat CSR gather of
+the adjacency of every candidate in ``C(u)`` (:func:`gather_neighbors`,
+which also tags each entry with its owning candidate), then one
+``bincount`` over the owner index per required label or per query
+neighbour.  No per-candidate Python loop remains; the output is identical
+to the per-candidate predicates the docstrings state.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -24,29 +31,41 @@ from repro.graph.csr import CSRGraph
 from repro.query.query_graph import QueryGraph
 
 
+def gather_neighbors(
+    graph: CSRGraph, vertices: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Concatenated adjacency lists of ``vertices`` in one flat gather.
+
+    Returns ``(nbrs, owner)``: ``nbrs`` lists the neighbours of
+    ``vertices[0]``, then of ``vertices[1]``, ... (each run sorted, as
+    stored in the CSR), and ``owner[i]`` is the position in ``vertices``
+    whose adjacency entry ``nbrs[i]`` is.
+    """
+    starts = graph.offsets[vertices]
+    counts = graph.offsets[vertices + 1] - starts
+    bases = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    flat_idx = np.arange(len(owner), dtype=np.int64) + np.repeat(starts - bases, counts)
+    return graph.neighbors[flat_idx], owner
+
+
 def label_degree_filter(
     graph: CSRGraph,
     query: QueryGraph,
     use_degree: bool = True,
-    use_label: bool = True,
 ) -> List[np.ndarray]:
     """Per-query-vertex candidates by label equality and degree dominance.
 
-    ``use_degree=False`` skips the degree filter; ``use_label=False`` skips
-    even the label filter, yielding raw-adjacency candidate sets — the view
-    of sampling *directly on the data graph* (appendix Figs. 26-28), where
-    labels must be checked on the fly by the estimator instead.
+    ``use_degree=False`` skips the degree filter.  The label filter always
+    applies: even sampling *directly on the data graph* (appendix Figs.
+    26-28) seeds from a label index.  ``build_candidate_graph(...,
+    use_label=False)`` models that mode through its local-candidate
+    membership masks, not here.
     """
     degrees = graph.degrees
     candidates: List[np.ndarray] = []
     for u in range(query.n_vertices):
-        if use_label:
-            pool = graph.vertices_with_label(query.label(u))
-        else:
-            pool = np.arange(graph.n_vertices, dtype=np.int64)
-        if len(pool) == 0:
-            candidates.append(np.zeros(0, dtype=np.int64))
-            continue
+        pool = graph.vertices_with_label(query.label(u))
         if use_degree:
             pool = pool[degrees[pool] >= query.degree(u)]
         candidates.append(np.sort(pool).astype(np.int64))
@@ -60,22 +79,23 @@ def nlf_filter(
 
     ``v`` survives in ``C(u)`` only if, for every label ``l`` appearing among
     ``u``'s query neighbours, ``v`` has at least as many data neighbours with
-    label ``l``.
+    label ``l``.  Per query vertex: one gather of the candidates' adjacency,
+    then ``bincount(owner[labels[nbrs] == l]) >= count`` per required label.
     """
     refined: List[np.ndarray] = []
     for u in range(query.n_vertices):
+        cand = candidates[u]
         required = Counter(query.label(w) for w in query.neighbors(u))
         if not required:
-            refined.append(candidates[u].copy())
+            refined.append(cand.copy())
             continue
-        min_length = max(required) + 1
-        survivors = []
-        for v in candidates[u]:
-            nbr_labels = graph.labels[graph.neighbors_of(int(v))]
-            counts = np.bincount(nbr_labels, minlength=min_length)
-            if all(counts[l] >= c for l, c in required.items()):
-                survivors.append(int(v))
-        refined.append(np.asarray(survivors, dtype=np.int64))
+        nbrs, owner = gather_neighbors(graph, cand)
+        nbr_labels = graph.labels[nbrs]
+        keep = np.ones(len(cand), dtype=bool)
+        for label, count in required.items():
+            have = np.bincount(owner[nbr_labels == label], minlength=len(cand))
+            keep &= have >= count
+        refined.append(cand[keep].astype(np.int64, copy=False))
     return refined
 
 
@@ -89,7 +109,9 @@ def refine_global_candidates(
 
     Repeats up to ``passes`` sweeps or until a fixpoint: for every query edge
     ``(u, u')``, a candidate ``v`` of ``u`` must have at least one data
-    neighbour inside ``C(u')``.
+    neighbour inside ``C(u')``.  Sweeps are Jacobi-style: membership masks
+    are frozen at the start of each sweep, so pruning ``C(u)`` mid-sweep does
+    not feed into the same sweep's verdicts for ``u``'s neighbours.
     """
     n_data = graph.n_vertices
     current = [c.copy() for c in candidates]
@@ -101,17 +123,15 @@ def refine_global_candidates(
             mask[current[u]] = True
             masks[u] = mask
         for u in range(query.n_vertices):
-            if len(current[u]) == 0:
+            cand = current[u]
+            if len(cand) == 0:
                 continue
-            keep = np.ones(len(current[u]), dtype=bool)
-            for idx, v in enumerate(current[u]):
-                nbrs = graph.neighbors_of(int(v))
-                for w in query.neighbors(u):
-                    if not masks[w][nbrs].any():
-                        keep[idx] = False
-                        break
+            nbrs, owner = gather_neighbors(graph, cand)
+            keep = np.ones(len(cand), dtype=bool)
+            for w in query.neighbors(u):
+                keep &= np.bincount(owner[masks[w][nbrs]], minlength=len(cand)) > 0
             if not keep.all():
-                current[u] = current[u][keep]
+                current[u] = cand[keep]
                 changed = True
         if not changed:
             break

@@ -5,8 +5,8 @@ The subsystem in four pieces (see DESIGN.md "Dynamic graphs"):
 * :mod:`repro.dyn.mutable` — :class:`MutableGraph`, a versioned edge-overlay
   wrapper over the immutable CSR graph (O(batch) mutation, per-version
   snapshots, incremental content fingerprint);
-* :mod:`repro.dyn.delta` — :class:`DeltaPlanMaintainer`, incremental
-  candidate-graph maintenance that is bit-identical to a full rebuild;
+* :mod:`repro.dyn.delta` — :class:`DeltaPlanMaintainer`, which keeps a
+  query's candidate graph synced by rebuilding it per refreshed version;
 * :mod:`repro.dyn.stream` — seeded synthetic update streams and an
   Algorithm-R edge reservoir;
 * :mod:`repro.dyn.serving` — :class:`DynamicEstimationSession`, version-aware

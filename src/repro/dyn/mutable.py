@@ -19,7 +19,7 @@ identifiable by parsing the id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -131,9 +131,9 @@ class AppliedDelta:
 class MutableGraph:
     """Versioned edge-mutable wrapper over an immutable :class:`CSRGraph`.
 
-    The vertex set and labels are fixed (streams mutate edges only); this is
-    what keeps incremental candidate-graph maintenance (`repro.dyn.delta`)
-    tractable.  All mutation goes through :meth:`apply`, which is O(batch).
+    The vertex set and labels are fixed (streams mutate edges only), so
+    vertex ids and label indexes stay valid across versions.  All mutation
+    goes through :meth:`apply`, which is O(batch).
     """
 
     def __init__(
@@ -392,9 +392,9 @@ class MutableGraph:
     def deltas_since(self, version: int) -> List[AppliedDelta]:
         """Effective deltas applied after ``version`` (oldest first).
 
-        The full log is retained (memory grows with history); callers that
-        replay deltas incrementally — e.g. the candidate-graph maintainer —
-        typically track their own high-water mark.
+        The full log is retained (memory grows with history); callers
+        track their own high-water mark (the candidate-graph maintainer
+        reads the deltas since its last refresh for its accounting).
         """
         if version > self._version:
             raise GraphError(

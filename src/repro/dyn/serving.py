@@ -6,7 +6,7 @@ with the existing :class:`~repro.serve.service.EstimationService`:
 * a :class:`~repro.dyn.mutable.MutableGraph` supplies versioned snapshots
   and ids (``name@v<version>#<fingerprint>``);
 * one :class:`~repro.dyn.delta.DeltaPlanMaintainer` per registered query
-  keeps its plan in sync incrementally;
+  keeps its plan in sync with the graph's version;
 * refreshed plans are installed into the service's plan cache and stale
   versions are evicted (counted under the ``"version"`` eviction reason).
 

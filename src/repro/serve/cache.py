@@ -162,7 +162,7 @@ class PlanCache:
 
     # ------------------------------------------------------------------
     def put(self, plan: CachedPlan) -> bool:
-        """Install an externally built plan (e.g. a delta-refreshed one).
+        """Install an externally built plan (e.g. a refreshed dynamic-graph one).
 
         Replaces any entry under the same key, then runs normal budget
         admission.  Returns True when the plan is resident afterwards.

@@ -243,7 +243,7 @@ class ServiceMetrics:
 
     # Dynamic-graph plan lifecycle --------------------------------------
     def record_plan_refresh(self) -> None:
-        """One delta-refreshed plan was installed into the cache."""
+        """One refreshed dynamic-graph plan was installed into the cache."""
         self.n_plan_refreshes += 1
 
     def record_plan_invalidation(self, n_evicted: int) -> None:

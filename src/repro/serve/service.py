@@ -715,7 +715,7 @@ class EstimationService:
     def install_plan(self, plan: CachedPlan) -> bool:
         """Install an externally maintained plan (thread-safe).
 
-        The delta-refresh path builds plans incrementally outside the
+        The dynamic-graph refresh path builds plans outside the
         service; installing them here turns subsequent requests for the
         same (graph version, query) into cache hits.  Counted as a plan
         refresh; returns False when the cache is disabled or the plan
